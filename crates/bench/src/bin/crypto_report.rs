@@ -1,13 +1,16 @@
 //! Emits `results/BENCH_rsa.json`: measured naive vs Montgomery modular
-//! exponentiation on 512-bit RSA private-key operations, in a
-//! machine-readable form for tracking across commits.
+//! exponentiation on 512-bit RSA private-key operations, and the SHA-256
+//! compression kernel the process dispatched to against the scalar
+//! reference, in a machine-readable form for tracking across commits.
 //!
 //! Run with: `cargo run -p biot-bench --release --bin crypto_report`
 
 use biot_crypto::bignum::{BigUint, MontgomeryCtx};
 use biot_crypto::rsa::RsaPrivateKey;
+use biot_crypto::sha256::{compress, compress_scalar, kernel, sha256, sha256_scalar, BLOCK_LEN};
+use biot_tangle::tx::{NodeId, Payload, TransactionBuilder, TxId};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::fs;
 use std::hint::black_box;
 use std::io::Write;
@@ -134,6 +137,53 @@ fn main() -> std::io::Result<()> {
         verify_secs * 1e3
     );
 
+    // SHA-256: both kernels must agree on a fixed corpus before either
+    // is timed — every message length across the one- and two-block
+    // padding boundaries, then chained compressions of random blocks.
+    let mut corpus_rng = StdRng::seed_from_u64(256);
+    for len in 0..=300usize {
+        let msg: Vec<u8> = (0..len).map(|_| corpus_rng.gen()).collect();
+        assert_eq!(sha256(&msg), sha256_scalar(&msg), "digest of a {len}-byte message");
+    }
+    let blocks: Vec<[u8; BLOCK_LEN]> = (0..1024)
+        .map(|_| std::array::from_fn(|_| corpus_rng.gen()))
+        .collect();
+    let (mut dispatched, mut reference) = ([0u32; 8], [0u32; 8]);
+    for b in &blocks {
+        compress(&mut dispatched, b);
+        compress_scalar(&mut reference, b);
+    }
+    assert_eq!(dispatched, reference, "chained compression over the block corpus");
+
+    let selected = kernel().name();
+    let per_block = |f: fn(&mut [u32; 8], &[u8; BLOCK_LEN])| {
+        let mut state = [0u32; 8];
+        let reps = 100u32;
+        time_it(reps, || {
+            for b in &blocks {
+                f(&mut state, black_box(b));
+            }
+            black_box(&state);
+        }) / blocks.len() as f64
+    };
+    let scalar_block_ns = per_block(compress_scalar) * 1e9;
+    let dispatched_block_ns = per_block(compress) * 1e9;
+    // A reading as the benchmark's light clients send it.
+    let tx = TransactionBuilder::new(NodeId([7; 32]))
+        .parents(TxId([1; 32]), TxId([2; 32]))
+        .payload(Payload::Data(b"temperature=21.5C;seq=000042".to_vec()))
+        .timestamp_ms(1_700_000_000_000)
+        .nonce(12345)
+        .signature(vec![0xA5; 64])
+        .build();
+    let tx_id_ns = time_it(200_000, || {
+        black_box(black_box(&tx).id());
+    }) * 1e9;
+    println!(
+        "sha256           kernel={selected}  scalar={scalar_block_ns:.1}ns/block  \
+         dispatched={dispatched_block_ns:.1}ns/block  Transaction::id={tx_id_ns:.0}ns"
+    );
+
     fs::create_dir_all("results")?;
     let mut f = fs::File::create("results/BENCH_rsa.json")?;
     writeln!(f, "{{")?;
@@ -152,6 +202,15 @@ fn main() -> std::io::Result<()> {
     writeln!(f, "  \"library_ops\": {{")?;
     writeln!(f, "    \"sign_secs\": {sign_secs:.9},")?;
     writeln!(f, "    \"verify_secs\": {verify_secs:.9}")?;
+    writeln!(f, "  }},")?;
+    writeln!(f, "  \"sha256\": {{")?;
+    writeln!(f, "    \"host_cores\": {cores},")?;
+    writeln!(f, "    \"kernel\": \"{selected}\",")?;
+    writeln!(f, "    \"scalar_ns_per_block\": {scalar_block_ns:.1},")?;
+    writeln!(f, "    \"dispatched_ns_per_block\": {dispatched_block_ns:.1},")?;
+    writeln!(f, "    \"speedup\": {:.2},", scalar_block_ns / dispatched_block_ns.max(1e-9))?;
+    writeln!(f, "    \"tx_id_ns\": {tx_id_ns:.1},")?;
+    writeln!(f, "    \"kernels_agree\": true")?;
     writeln!(f, "  }}")?;
     writeln!(f, "}}")?;
     println!("wrote results/BENCH_rsa.json");

@@ -269,14 +269,20 @@ impl Gateway {
             // summed weight), so the recorded evidence must merge the same
             // way: two bit-identical events would be collapsed into one by
             // any dedup layer downstream (gossip keys events by content),
-            // and replicas folding the outbox would undercount.
-            if let (
-                Some(CreditEvent::Validated { node: ln, weight: lw, at: la }),
-                CreditEvent::Validated { node, weight, at },
-            ) = (self.credit_outbox.last_mut(), &ev)
-            {
-                if ln == node && la == at {
-                    *lw += weight;
+            // and replicas folding the outbox would undercount. Merge into
+            // any undrained grant with the same `(node, at)`, not only the
+            // last event: grants to other devices may sit in between.
+            if let CreditEvent::Validated { node, weight, at } = ev {
+                let undrained = self.credit_outbox.iter_mut().rev().find_map(|held| match held {
+                    CreditEvent::Validated { node: n, weight: w, at: a }
+                        if *n == node && *a == at =>
+                    {
+                        Some(w)
+                    }
+                    _ => None,
+                });
+                if let Some(w) = undrained {
+                    *w += weight;
                     return;
                 }
             }
@@ -397,6 +403,22 @@ impl Gateway {
     /// so replicas converge on credit and difficulty.
     pub fn take_credit_events(&mut self) -> Vec<CreditEvent> {
         std::mem::take(&mut self.credit_outbox)
+    }
+
+    /// Drains only the credit events stamped before `now`, in
+    /// application order, and keeps the rest queued. A caller that drains
+    /// several times within one millisecond must use this: a grant later
+    /// in the same millisecond then still merges into the queued one, so
+    /// no two drained [`CreditEvent::Validated`] events are equal (a
+    /// content-keyed relay would drop the second).
+    pub fn take_credit_events_before(&mut self, now: SimTime) -> Vec<CreditEvent> {
+        self.credit_outbox.extract_if(.., |ev| ev.at() < now).collect()
+    }
+
+    /// The credit events applied but not yet drained, in application
+    /// order.
+    pub fn held_credit_events(&self) -> &[CreditEvent] {
+        &self.credit_outbox
     }
 
     /// Applies credit events received from a peer gateway (the
@@ -525,13 +547,16 @@ impl Gateway {
     /// concurrently with other reads: touches only immutable gateway state.
     fn admission_check(&self, tx: &Transaction) -> AdmissionCheck {
         let is_manager = self.manager_keys.contains_key(&tx.issuer);
+        // The signed encoding is the PoW preimage followed by the nonce:
+        // build it once and hash its prefix for the PoW.
+        let signing = tx.signing_bytes();
         let sig_ok = if self.config.verify_signatures {
-            self.key_of(&tx.issuer, is_manager)
-                .map(|pk| pk.verify(&tx.signing_bytes(), &tx.signature))
+            self.key_of(&tx.issuer, is_manager).map(|pk| pk.verify(&signing, &tx.signature))
         } else {
             None
         };
-        let pow_zeros = leading_zero_bits(&pow_hash(&tx.pow_preimage(), tx.nonce));
+        let preimage = &signing[..signing.len() - std::mem::size_of::<u64>()];
+        let pow_zeros = leading_zero_bits(&pow_hash(preimage, tx.nonce));
         AdmissionCheck { sig_ok, pow_zeros }
     }
 
@@ -1092,6 +1117,68 @@ mod tests {
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
+    }
+
+    #[test]
+    fn same_millisecond_grants_merge_across_the_undrained_outbox() {
+        use crate::difficulty::FixedPolicy;
+        use biot_tangle::conflict::LazyTipPolicy;
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut manager = Manager::new(Account::generate(&mut rng));
+        let devices: Vec<LightNode> =
+            (0..2).map(|_| LightNode::new(Account::generate(&mut rng))).collect();
+        let mut gateway = Gateway::new(
+            manager.public_key().clone(),
+            Box::new(FixedPolicy(Difficulty::MIN)),
+            GatewayConfig {
+                lazy_policy: LazyTipPolicy {
+                    max_parent_age_ms: u64::MAX,
+                    max_parent_approvers: usize::MAX,
+                },
+                record_credit_events: true,
+                ..GatewayConfig::default()
+            },
+        );
+        let genesis = gateway.init_genesis(SimTime::ZERO);
+        for d in &devices {
+            let id = manager.register_device(d.public_key().clone());
+            manager.authorize(id);
+            gateway.register_pubkey(d.public_key().clone());
+        }
+        let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, Difficulty::MIN);
+        gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+        let mut log = Vec::new();
+
+        // Device 0, device 1, device 0 within one millisecond, with a
+        // drain attempt after each admission: the current millisecond
+        // stays held, and device 0's second grant merges into its first
+        // even though device 1's grant sits between them.
+        let now = SimTime::from_millis(10);
+        for (k, d) in [0usize, 1, 0].into_iter().enumerate() {
+            let tx = devices[d]
+                .prepare_reading(&[k as u8], (genesis, genesis), now, Difficulty::MIN, &mut rng)
+                .tx;
+            gateway.submit(tx, now).unwrap();
+            log.extend(gateway.take_credit_events_before(now));
+        }
+        assert_eq!(
+            gateway.held_credit_events(),
+            [
+                CreditEvent::validated(devices[0].id(), 2.0, now),
+                CreditEvent::validated(devices[1].id(), 1.0, now),
+            ]
+        );
+        log.extend(gateway.take_credit_events_before(SimTime::from_millis(11)));
+        assert!(gateway.held_credit_events().is_empty());
+        for (i, a) in log.iter().enumerate() {
+            assert!(!log[i + 1..].contains(a), "{a:?} emitted twice");
+        }
+        // The drained events alone rebuild the live ledger.
+        let replay = CreditLedger::from_events(*gateway.credits().params(), &log);
+        let probe = SimTime::from_millis(20);
+        for d in &devices {
+            assert_eq!(replay.credit_of(d.id(), probe), gateway.credits().credit_of(d.id(), probe));
+        }
     }
 
     #[test]

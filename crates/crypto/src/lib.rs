@@ -35,7 +35,7 @@
 //! assert_eq!(tx_payload_hash.len(), 32);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

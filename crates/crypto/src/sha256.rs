@@ -5,6 +5,12 @@
 //! construction with a streaming [`Sha256`] hasher and convenience one-shot
 //! functions ([`sha256`], [`sha224`]).
 //!
+//! Every block goes through [`compress`], which runs the x86_64 SHA
+//! extensions when the CPU has them and the portable [`compress_scalar`]
+//! otherwise. The choice is made once per process ([`kernel`]); both
+//! kernels produce bit-identical digests, and [`compress_scalar`] /
+//! [`sha256_scalar`] stay public as the reference they are tested against.
+//!
 //! # Examples
 //!
 //! ```
@@ -20,6 +26,8 @@
 //!     bytes.iter().map(|b| format!("{b:02x}")).collect()
 //! }
 //! ```
+
+use std::sync::OnceLock;
 
 /// Number of bytes in a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -118,16 +126,14 @@ impl Sha256 {
             input = &input[take..];
             if self.buf_len == BLOCK_LEN {
                 let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &block);
                 self.buf_len = 0;
                 self.len += BLOCK_LEN as u64;
             }
         }
         while input.len() >= BLOCK_LEN {
             let (block, rest) = input.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
+            compress(&mut self.state, block.try_into().expect("split_at yields one block"));
             self.len += BLOCK_LEN as u64;
             input = rest;
         }
@@ -152,10 +158,10 @@ impl Sha256 {
         pad[total - 8..total].copy_from_slice(&bit_len.to_be_bytes());
         let mut block = [0u8; BLOCK_LEN];
         block.copy_from_slice(&pad[..BLOCK_LEN]);
-        self.compress(&block);
+        compress(&mut self.state, &block);
         if total == BLOCK_LEN * 2 {
             block.copy_from_slice(&pad[BLOCK_LEN..]);
-            self.compress(&block);
+            compress(&mut self.state, &block);
         }
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -222,49 +228,217 @@ impl Sha256 {
         out.copy_from_slice(&full[..28]);
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// The compression kernel [`compress`] runs, chosen once per process.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kernel {
+    /// [`compress_scalar`], the portable reference.
+    Scalar,
+    /// The x86_64 SHA extensions (`sha`, with SSE2/SSSE3/SSE4.1 for the
+    /// surrounding shuffles).
+    ShaNi,
+}
+
+impl Kernel {
+    /// Short name for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Scalar => "scalar",
+            Kernel::ShaNi => "sha_ni",
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+    }
+}
+
+/// The kernel [`compress`] dispatches to on this CPU: [`Kernel::ShaNi`]
+/// when the CPU reports every feature the hardware kernel is compiled
+/// for, else [`Kernel::Scalar`]. Detected on first use and cached.
+pub fn kernel() -> Kernel {
+    static KERNEL: OnceLock<Kernel> = OnceLock::new();
+    *KERNEL.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            return Kernel::ShaNi;
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+        Kernel::Scalar
+    })
+}
+
+/// Applies the SHA-256 compression function to `state` for one block,
+/// with the kernel [`kernel`] selected. Bit-identical to
+/// [`compress_scalar`].
+#[allow(unsafe_code)]
+pub fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    #[cfg(target_arch = "x86_64")]
+    if kernel() == Kernel::ShaNi {
+        // SAFETY: `sha_ni::compress` is safe code compiled with
+        // `target_feature(enable = "sha,sse2,ssse3,sse4.1")`; its only
+        // requirement is that the running CPU supports those features,
+        // and `kernel()` returns `ShaNi` only after
+        // `is_x86_feature_detected!` reported all four.
+        unsafe { sha_ni::compress(state, block) };
+        return;
+    }
+    compress_scalar(state, block);
+}
+
+/// The portable SHA-256 compression function (FIPS 180-4 §6.2.2): the
+/// reference and fallback kernel.
+pub fn compress_scalar(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
+}
+
+/// SHA-256 of `data` computed with [`compress_scalar`] only, whatever
+/// [`kernel`] selected: the reference digest the dispatched kernel is
+/// checked against.
+pub fn sha256_scalar(data: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut state = H256;
+    let mut blocks = data.chunks_exact(BLOCK_LEN);
+    for block in &mut blocks {
+        compress_scalar(&mut state, block.try_into().expect("chunks_exact yields one block"));
+    }
+    let rest = blocks.remainder();
+    let mut pad = [0u8; BLOCK_LEN * 2];
+    pad[..rest.len()].copy_from_slice(rest);
+    pad[rest.len()] = 0x80;
+    let total = if rest.len() < 56 { BLOCK_LEN } else { BLOCK_LEN * 2 };
+    pad[total - 8..total].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+    for block in pad[..total].chunks_exact(BLOCK_LEN) {
+        compress_scalar(&mut state, block.try_into().expect("chunks_exact yields one block"));
+    }
+    let mut out = [0u8; DIGEST_LEN];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The hardware kernel: Intel SHA extensions. Safe code throughout —
+/// state and block move in and out through `_mm_set_epi32` and
+/// `_mm_extract_epi32`, never through pointers — whose only precondition
+/// is the CPU features it is compiled for (see [`compress`]).
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::{BLOCK_LEN, K};
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Four big-endian message words `w[4i..4i + 4]`, lane 0 first.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn load_words(block: &[u8; BLOCK_LEN], i: usize) -> __m128i {
+        let w = |j: usize| {
+            let at = 16 * i + 4 * j;
+            u32::from_be_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]]) as i32
+        };
+        _mm_set_epi32(w(3), w(2), w(1), w(0))
+    }
+
+    /// Rounds `4i..4i + 4` on the (ABEF, CDGH) register pair.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, i: usize) {
+        let k = _mm_set_epi32(
+            K[4 * i + 3] as i32,
+            K[4 * i + 2] as i32,
+            K[4 * i + 1] as i32,
+            K[4 * i] as i32,
+        );
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+    }
+
+    /// Message schedule: the next four words from the previous sixteen
+    /// (`w0` oldest).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+        let s = |j: usize| state[j] as i32;
+        // The rounds instruction wants the state as (A, B, E, F) and
+        // (C, D, G, H), high lane first.
+        let abef0 = _mm_set_epi32(s(0), s(1), s(4), s(5));
+        let cdgh0 = _mm_set_epi32(s(2), s(3), s(6), s(7));
+        let (mut abef, mut cdgh) = (abef0, cdgh0);
+        let mut w0 = load_words(block, 0);
+        let mut w1 = load_words(block, 1);
+        let mut w2 = load_words(block, 2);
+        let mut w3 = load_words(block, 3);
+        rounds4(&mut abef, &mut cdgh, w0, 0);
+        rounds4(&mut abef, &mut cdgh, w1, 1);
+        rounds4(&mut abef, &mut cdgh, w2, 2);
+        rounds4(&mut abef, &mut cdgh, w3, 3);
+        for i in (4..16).step_by(4) {
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4(&mut abef, &mut cdgh, w0, i);
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4(&mut abef, &mut cdgh, w1, i + 1);
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4(&mut abef, &mut cdgh, w2, i + 2);
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4(&mut abef, &mut cdgh, w3, i + 3);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        abef = _mm_add_epi32(abef, abef0);
+        cdgh = _mm_add_epi32(cdgh, cdgh0);
+        *state = [
+            _mm_extract_epi32::<3>(abef) as u32,
+            _mm_extract_epi32::<2>(abef) as u32,
+            _mm_extract_epi32::<3>(cdgh) as u32,
+            _mm_extract_epi32::<2>(cdgh) as u32,
+            _mm_extract_epi32::<1>(abef) as u32,
+            _mm_extract_epi32::<0>(abef) as u32,
+            _mm_extract_epi32::<1>(cdgh) as u32,
+            _mm_extract_epi32::<0>(cdgh) as u32,
+        ];
     }
 }
 
@@ -448,39 +622,97 @@ mod tests {
         to_hex(b)
     }
 
+    /// True when [`compress`] runs the hardware kernel, so comparing it
+    /// with [`compress_scalar`] compares the two kernels. Prints why the
+    /// hardware half of a test is skipped on CPUs without it.
+    fn hardware_kernel_active() -> bool {
+        let active = kernel() == Kernel::ShaNi;
+        if !active {
+            eprintln!("note: this CPU lacks the SHA extensions; hardware-kernel half skipped");
+        }
+        active
+    }
+
+    /// Checks a FIPS 180-4 vector through the dispatched kernel and
+    /// through the scalar reference.
+    fn assert_vector(data: &[u8], want: &str) {
+        assert_eq!(hex(&sha256_scalar(data)), want, "scalar kernel");
+        assert_eq!(hex(&sha256(data)), want, "dispatched kernel ({})", kernel().name());
+    }
+
     #[test]
     fn empty_string_vector() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        assert_vector(b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
     }
 
     #[test]
     fn abc_vector() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        assert_vector(b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
     }
 
     #[test]
     fn two_block_vector() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn long_vector_million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_vector(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
+    }
+
+    #[test]
+    fn dispatch_selects_hardware_kernel_when_cpu_has_sha() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            assert_eq!(kernel(), Kernel::ShaNi, "silent fallback to the scalar kernel");
+            return;
+        }
+        assert_eq!(kernel(), Kernel::Scalar);
+        eprintln!("note: this CPU lacks the SHA extensions; scalar kernel expected");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn hardware_kernel_matches_scalar_on_random_blocks(
+            state in proptest::array::uniform8(proptest::prelude::any::<u32>()),
+            block in proptest::collection::vec(proptest::prelude::any::<u8>(), BLOCK_LEN),
+        ) {
+            if hardware_kernel_active() {
+                let block: &[u8; BLOCK_LEN] = block.as_slice().try_into().unwrap();
+                let (mut hw, mut reference) = (state, state);
+                compress(&mut hw, block);
+                compress_scalar(&mut reference, block);
+                proptest::prop_assert_eq!(hw, reference);
+            }
+        }
+
+        #[test]
+        fn streaming_digests_match_scalar_reference(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=4096),
+            cut_a in 0usize..=4096,
+            cut_b in 0usize..=4096,
+        ) {
+            let want = sha256_scalar(&data);
+            proptest::prop_assert_eq!(sha256(&data), want);
+            let (a, b) = (cut_a.min(cut_b).min(data.len()), cut_b.max(cut_a).min(data.len()));
+            let mut h = Sha256::new();
+            h.update(&data[..a]);
+            let mut resumed = Sha256::from_midstate(&h.midstate());
+            resumed.update(&data[a..b]).update(&data[b..]);
+            proptest::prop_assert_eq!(resumed.finalize(), want);
+        }
     }
 
     #[test]

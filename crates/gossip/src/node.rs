@@ -1880,7 +1880,7 @@ impl GossipNode {
             return;
         }
         if missing.is_empty() {
-            self.try_attach_resolved(from, tx, attach_ms, now_ms);
+            self.try_attach_resolved(from, id, tx, attach_ms, now_ms);
             return;
         }
         // Buffer and chase the missing ancestors.
@@ -1934,15 +1934,16 @@ impl GossipNode {
     }
 
     /// Attaches a transaction whose parents are all present, then
-    /// cascades through everything that was waiting on it.
+    /// cascades through everything that was waiting on it. `id` is
+    /// `tx.id()`, already computed by the caller.
     fn try_attach_resolved(
         &mut self,
         from: Option<usize>,
+        id: TxId,
         tx: Transaction,
         attach_ms: u64,
         now_ms: u64,
     ) {
-        let id = tx.id();
         self.requested.remove(&id);
         let result = self.tangle.lock().unwrap().attach(tx, attach_ms);
         match result {

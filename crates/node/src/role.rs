@@ -554,7 +554,9 @@ impl ValidationNode {
         for tx in self.gateway.take_broadcasts() {
             self.gossip.submit(tx, now_ms, now_ms);
         }
-        let own = self.gateway.take_credit_events();
+        // Events of the current millisecond stay in the gateway until it
+        // has passed, so later same-millisecond grants merge into them.
+        let own = self.gateway.take_credit_events_before(now);
         if !own.is_empty() {
             self.gossip.broadcast_credit_events(&own, now_ms);
             self.credit_log.extend(own);
@@ -570,21 +572,20 @@ impl ValidationNode {
         self.gossip.poll(now_ms);
         // Mesh → gateway. The shared tangle's attach order is
         // parent-before-child, so mirroring in order always solidifies.
+        // Own admissions come back around already attached: skip them by
+        // id before cloning.
         let (new_txs, order_len) = {
             let tangle = self.gossip.tangle().lock().unwrap();
             let order = tangle.attach_order();
             let new: Vec<Transaction> = order[self.mirrored.min(order.len())..]
                 .iter()
+                .filter(|id| !self.gateway.tangle().contains(id))
                 .filter_map(|id| tangle.get(id).cloned())
                 .collect();
             (new, order.len())
         };
         for tx in new_txs {
-            if !self.gateway.tangle().contains(&tx.id()) {
-                // Own broadcasts come back around; receive_broadcast
-                // rejects duplicates and we ignore exactly that.
-                let _ = self.gateway.receive_broadcast(tx, now);
-            }
+            let _ = self.gateway.receive_broadcast(tx, now);
         }
         self.mirrored = order_len;
         let remote = self.gossip.take_credit_events();
@@ -602,21 +603,26 @@ impl ValidationNode {
     }
 
     /// Earliest absolute instant (ms) at which this node has timed work
-    /// due — gossip timers, dial retries, ingest backoffs and sweeps.
-    /// Socket readiness can always create work earlier.
+    /// due — gossip timers, dial retries, ingest backoffs and sweeps, and
+    /// the millisecond after the earliest credit event the gateway still
+    /// holds. Socket readiness can always create work earlier.
     pub fn next_deadline(&self, now_ms: u64) -> Option<u64> {
-        min_deadline(
+        [
             self.gossip.next_deadline(),
-            self.ingest
-                .as_ref()
-                .and_then(|i| i.next_deadline(SimTime::from_millis(now_ms))),
-        )
+            self.gateway.held_credit_events().iter().map(|ev| ev.at().as_millis() + 1).min(),
+            self.ingest.as_ref().and_then(|i| i.next_deadline(SimTime::from_millis(now_ms))),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     /// The validation role's defining check: rebuild a credit ledger
-    /// from nothing but the retained event log and demand it match the
-    /// incrementally maintained one **exactly** — same devices, same
-    /// `(CrP, CrN, Cr)` to the last bit, evaluated at `probe`.
+    /// from nothing but the retained event log — followed by the events
+    /// the gateway still holds for the current millisecond — and demand
+    /// it match the incrementally maintained one **exactly** — same
+    /// devices, same `(CrP, CrN, Cr)` to the last bit, evaluated at
+    /// `probe`.
     ///
     /// # Errors
     ///
@@ -626,7 +632,7 @@ impl ValidationNode {
     pub fn verify_replay(&self, probe: SimTime) -> Result<usize, ReplayDivergence> {
         let replayed = CreditLedger::from_events(
             *self.gateway.credits().params(),
-            self.credit_log.iter(),
+            self.credit_log.iter().chain(self.gateway.held_credit_events()),
         );
         let live = self.gateway.credits();
         let mut devices = 0usize;
@@ -794,6 +800,57 @@ mod tests {
         assert!(!node.credit_log().is_empty(), "admissions emit credit events");
         let devices = node.verify_replay(SimTime::from_millis(now_ms + 1_000)).unwrap();
         assert!(devices >= 2, "both submitting devices have credit history");
+    }
+
+    #[test]
+    fn same_millisecond_turns_reach_archival_credit_exactly() {
+        use biot_gossip::node::RelayMode;
+        use biot_gossip::transport::MemTransport;
+        let (gateway, _manager, clients) = test_gateway(5);
+        let mesh = |node_id| GossipConfig {
+            node_id,
+            relay_mode: RelayMode::Digest,
+            digest_ms: 5,
+            ..GossipConfig::default()
+        };
+        let mut v = ValidationNode::new(
+            gateway,
+            RoleConfig { role: Role::Validation, gossip: mesh(1), ..RoleConfig::default() },
+        )
+        .unwrap();
+        let mut a = ArchivalNode::new(RoleConfig {
+            role: Role::Archival,
+            gossip: mesh(2),
+            ..RoleConfig::default()
+        })
+        .unwrap();
+        let (tv, ta, _link) = MemTransport::pair();
+        v.gossip_mut().add_transport(Box::new(tv), 0);
+        a.gossip_mut().add_transport(Box::new(ta), 0);
+
+        // Two ingest turns in one millisecond, each admitting a reading
+        // from the same device.
+        let genesis = v.gateway().tangle().genesis().unwrap();
+        for k in 0..2u8 {
+            let tx = clients[0]
+                .prepare(vec![k], (genesis, genesis), SimTime::from_millis(10), Difficulty::MIN)
+                .tx;
+            v.gateway_mut().submit(tx, SimTime::from_millis(10)).unwrap();
+            v.on_ingest(10).unwrap();
+        }
+        for now_ms in 10..1_000 {
+            v.poll(now_ms).unwrap();
+            a.poll(now_ms).unwrap();
+        }
+        let probe = SimTime::from_millis(1_000);
+        let device = clients[0].id();
+        let (g, r) = (v.gateway().credits().credit_of(device, probe), a.credits().credit_of(device, probe));
+        assert_eq!(
+            (g.positive.to_bits(), g.negative.to_bits(), g.combined.to_bits()),
+            (r.positive.to_bits(), r.negative.to_bits(), r.combined.to_bits()),
+            "archival credit {r:?} vs gateway credit {g:?}"
+        );
+        v.verify_replay(probe).unwrap();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and detaches it from its approvers — the tamper-evidence the paper
 //! relies on.
 
-use biot_crypto::sha256::{sha256, to_hex};
+use biot_crypto::sha256::{to_hex, Sha256};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -108,31 +108,46 @@ impl Payload {
     /// Canonical bytes hashed into the transaction id.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.write_canonical(|part| out.extend_from_slice(part));
+        out
+    }
+
+    /// SHA-256 of [`canonical_bytes`](Self::canonical_bytes), streamed
+    /// without building the encoding.
+    pub(crate) fn digest(&self) -> [u8; 32] {
+        let mut h = Sha256::new();
+        self.write_canonical(|part| {
+            h.update(part);
+        });
+        h.finalize()
+    }
+
+    /// Feeds the canonical encoding to `sink`, part by part.
+    fn write_canonical(&self, mut sink: impl FnMut(&[u8])) {
         match self {
             Payload::Data(d) => {
-                out.push(0);
-                out.extend_from_slice(d);
+                sink(&[0]);
+                sink(d);
             }
             Payload::EncryptedData { iv, ciphertext } => {
-                out.push(1);
-                out.extend_from_slice(iv);
-                out.extend_from_slice(ciphertext);
+                sink(&[1]);
+                sink(iv);
+                sink(ciphertext);
             }
             Payload::Spend { token, to } => {
-                out.push(2);
-                out.extend_from_slice(token);
-                out.extend_from_slice(&to.0);
+                sink(&[2]);
+                sink(token);
+                sink(&to.0);
             }
             Payload::AuthList { devices, signature } => {
-                out.push(3);
+                sink(&[3]);
                 for d in devices {
-                    out.extend_from_slice(&d.0);
+                    sink(&d.0);
                 }
-                out.push(0xFF);
-                out.extend_from_slice(signature);
+                sink(&[0xFF]);
+                sink(signature);
             }
         }
-        out
     }
 
     /// Approximate serialized size in bytes (for throughput accounting).
@@ -175,7 +190,7 @@ impl Transaction {
         out.extend_from_slice(&self.issuer.0);
         out.extend_from_slice(&self.trunk.0);
         out.extend_from_slice(&self.branch.0);
-        out.extend_from_slice(&sha256(&self.payload.canonical_bytes()));
+        out.extend_from_slice(&self.payload.digest());
         out.extend_from_slice(&self.timestamp_ms.to_be_bytes());
         out
     }
@@ -188,9 +203,18 @@ impl Transaction {
         out
     }
 
-    /// Computes the transaction id: SHA-256 over the signed encoding.
+    /// Computes the transaction id: SHA-256 over the signed encoding,
+    /// streamed field by field rather than through
+    /// [`signing_bytes`](Self::signing_bytes).
     pub fn id(&self) -> TxId {
-        TxId(sha256(&self.signing_bytes()))
+        let mut h = Sha256::new();
+        h.update(&self.issuer.0)
+            .update(&self.trunk.0)
+            .update(&self.branch.0)
+            .update(&self.payload.digest())
+            .update(&self.timestamp_ms.to_be_bytes())
+            .update(&self.nonce.to_be_bytes());
+        TxId(h.finalize())
     }
 
     /// The two parents as an array `[trunk, branch]`.
@@ -378,11 +402,40 @@ mod tests {
     }
 
     #[test]
+    fn streamed_id_and_digest_match_the_joined_encodings() {
+        use biot_crypto::sha256::sha256;
+        let payloads = [
+            Payload::Data(b"reading".to_vec()),
+            Payload::EncryptedData {
+                iv: [7; 16],
+                ciphertext: vec![1, 2, 3],
+            },
+            Payload::Spend {
+                token: [5; 32],
+                to: NodeId([6; 32]),
+            },
+            Payload::AuthList {
+                devices: vec![NodeId([1; 32]), NodeId([2; 32])],
+                signature: vec![9; 64],
+            },
+        ];
+        for payload in payloads {
+            let mut t = sample_tx();
+            t.payload = payload;
+            assert_eq!(t.payload.digest(), sha256(&t.payload.canonical_bytes()));
+            assert_eq!(t.id(), TxId(sha256(&t.signing_bytes())));
+        }
+    }
+
+    #[test]
     fn pow_preimage_excludes_nonce() {
         let mut t = sample_tx();
         let pre = t.pow_preimage();
         t.nonce = 999;
         assert_eq!(t.pow_preimage(), pre);
-        assert_ne!(t.signing_bytes(), pre);
+        assert_eq!(
+            t.signing_bytes(),
+            [pre.as_slice(), &999u64.to_be_bytes()].concat()
+        );
     }
 }
