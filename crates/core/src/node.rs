@@ -1367,6 +1367,75 @@ mod tests {
     }
 
     #[test]
+    fn sealing_on_refresh_changes_no_weight_or_credit() {
+        // The sealed-cone index is a pure acceleration: two gateways fed
+        // the same submissions, one of them sealing after every refresh,
+        // must confirm the same transactions, report the same weights and
+        // grant bit-identical credit.
+        use crate::difficulty::FixedPolicy;
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut manager = Manager::new(Account::generate(&mut rng));
+        let devices: Vec<LightNode> =
+            (0..2).map(|_| LightNode::new(Account::generate(&mut rng))).collect();
+        let gateway = |seal_lag| {
+            Gateway::new(
+                manager.public_key().clone(),
+                Box::new(FixedPolicy(Difficulty::MIN)),
+                GatewayConfig {
+                    seal_lag,
+                    ..GatewayConfig::default()
+                },
+            )
+        };
+        let (mut plain, mut sealed) = (gateway(None), gateway(Some(4)));
+        let genesis = plain.init_genesis(SimTime::ZERO);
+        assert_eq!(sealed.init_genesis(SimTime::ZERO), genesis);
+        for d in &devices {
+            let id = manager.register_device(d.public_key().clone());
+            manager.authorize(id);
+            plain.register_pubkey(d.public_key().clone());
+            sealed.register_pubkey(d.public_key().clone());
+        }
+        let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, Difficulty::MIN);
+        plain.apply_auth_list(list.tx.clone(), SimTime::ZERO).unwrap();
+        sealed.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+
+        let mut now = t(1);
+        for i in 0..60usize {
+            let tips = plain.random_tips(&mut rng).unwrap();
+            let tx = devices[i % 2]
+                .prepare_reading(&[i as u8], tips, now, Difficulty::MIN, &mut rng)
+                .tx;
+            assert_eq!(plain.submit(tx.clone(), now), sealed.submit(tx, now));
+            now += 500;
+            if i % 6 == 5 {
+                assert_eq!(plain.refresh(now), sealed.refresh(now), "confirmed at {now:?}");
+            }
+        }
+
+        assert!(sealed.tangle().sealed_len() > 0, "the sealing gateway never sealed");
+        assert_eq!(plain.tangle().sealed_len(), 0);
+        assert_eq!(plain.tangle().len(), sealed.tangle().len());
+        for tx in plain.tangle().iter() {
+            let id = tx.id();
+            assert_eq!(
+                plain.tangle().cumulative_weight(&id),
+                sealed.tangle().cumulative_weight(&id),
+                "weight of {id:?}"
+            );
+            assert_eq!(plain.tangle().status(&id), sealed.tangle().status(&id), "status of {id:?}");
+        }
+        let bits = |b: CreditBreakdown| [b.positive, b.negative, b.combined].map(f64::to_bits);
+        for node in devices.iter().map(LightNode::id).chain([manager.id()]) {
+            assert_eq!(
+                bits(plain.credit_of(node, now)),
+                bits(sealed.credit_of(node, now)),
+                "credit of {node:?}"
+            );
+        }
+    }
+
+    #[test]
     fn gossip_receipt_is_idempotent() {
         let mut w = world(10);
         boot(&mut w);

@@ -585,14 +585,25 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 /// Encodes bytes as lowercase hex. Handy for digest display in examples and
 /// reports.
 pub fn to_hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
+    push_hex(&mut s, bytes);
     s
+}
+
+/// Appends the lowercase hex encoding of `bytes` to `out` — [`to_hex`]
+/// without the allocation, for renderers that build one buffer.
+pub fn push_hex(out: &mut String, bytes: &[u8]) {
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0x0f)]));
+    }
 }
 
 /// Decodes a lowercase/uppercase hex string into bytes.

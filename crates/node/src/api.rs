@@ -21,14 +21,16 @@
 //!
 //! JSON is emitted by hand (ordered keys, no whitespace variance) for
 //! the same reason the HTTP layer omits `Date`: determinism is part of
-//! the contract, not a test convenience.
+//! the contract, not a test convenience. Each renderer appends into one
+//! `String`, ids through the table-driven [`push_hex`].
 
 use crate::http::{write_response, Request};
 use biot_credit::{CreditBreakdown, CreditLedger};
-use biot_crypto::sha256::{from_hex, to_hex};
+use biot_crypto::sha256::{from_hex, push_hex};
 use biot_net::time::SimTime;
 use biot_tangle::graph::{Tangle, TxStatus};
 use biot_tangle::tx::{NodeId, Payload, TxId};
+use std::fmt::Write as _;
 
 /// Liveness facts that come from the runtime rather than the ledger.
 #[derive(Clone, Debug, Default)]
@@ -97,7 +99,7 @@ pub fn respond(state: &ApiState<'_>, req: &Request) -> Rendered {
 /// directly and compares against what the socket delivered.
 pub fn render_http(state: &ApiState<'_>, req: &Request) -> Vec<u8> {
     let (status, reason, body) = respond(state, req);
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(body.len() + 128);
     write_response(
         &mut out,
         status,
@@ -152,18 +154,31 @@ fn render_stats(tangle: &Tangle) -> String {
         tangle.len(),
         tangle.tip_count(),
         tangle.total_attached(),
-        tangle.pruned_ids().len(),
+        tangle.pruned_count(),
         seal.sealed_len,
         seal.frontier_len,
     )
 }
 
 fn render_tips(tangle: &Tangle) -> String {
-    let tips: Vec<String> = tangle
-        .tips_iter()
-        .map(|id| format!("\"{}\"", to_hex(id.as_bytes())))
-        .collect();
-    format!("{{\"count\":{},\"tips\":[{}]}}", tips.len(), tips.join(","))
+    let count = tangle.tip_count();
+    let mut out = String::with_capacity(40 + count * 67);
+    write!(out, "{{\"count\":{count},\"tips\":[").expect("write to String");
+    for (i, id) in tangle.tips_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_quoted_hex(&mut out, id.as_bytes());
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Appends `"<hex of bytes>"`.
+fn push_quoted_hex(out: &mut String, bytes: &[u8]) {
+    out.push('"');
+    push_hex(out, bytes);
+    out.push('"');
 }
 
 fn payload_kind(payload: &Payload) -> &'static str {
@@ -188,12 +203,18 @@ fn render_tx(tangle: &Tangle, id: &TxId) -> Rendered {
         Some(TxStatus::Confirmed) => "confirmed",
         _ => "pending",
     };
-    let body = format!(
-        "{{\"id\":\"{}\",\"issuer\":\"{}\",\"trunk\":\"{}\",\"branch\":\"{}\",\"payload\":\"{}\",\"payload_len\":{},\"timestamp_ms\":{},\"attach_time_ms\":{},\"status\":\"{}\",\"cumulative_weight\":{},\"approvers\":{}}}",
-        to_hex(id.as_bytes()),
-        to_hex(tx.issuer.as_bytes()),
-        to_hex(tx.trunk.as_bytes()),
-        to_hex(tx.branch.as_bytes()),
+    let mut body = String::with_capacity(420);
+    body.push_str("{\"id\":");
+    push_quoted_hex(&mut body, id.as_bytes());
+    body.push_str(",\"issuer\":");
+    push_quoted_hex(&mut body, tx.issuer.as_bytes());
+    body.push_str(",\"trunk\":");
+    push_quoted_hex(&mut body, tx.trunk.as_bytes());
+    body.push_str(",\"branch\":");
+    push_quoted_hex(&mut body, tx.branch.as_bytes());
+    write!(
+        body,
+        ",\"payload\":\"{}\",\"payload_len\":{},\"timestamp_ms\":{},\"attach_time_ms\":{},\"status\":\"{}\",\"cumulative_weight\":{},\"approvers\":{}}}",
         payload_kind(&tx.payload),
         tx.payload.len(),
         tx.timestamp_ms,
@@ -201,7 +222,8 @@ fn render_tx(tangle: &Tangle, id: &TxId) -> Rendered {
         status,
         tangle.cumulative_weight(id),
         tangle.approvers(id).len(),
-    );
+    )
+    .expect("write to String");
     (200, "OK", body)
 }
 
@@ -210,23 +232,29 @@ fn render_weight(tangle: &Tangle, id: &TxId) -> Rendered {
         return (404, "Not Found", err_body("unknown transaction"));
     }
     let confirmed = tangle.status(id) == Some(TxStatus::Confirmed);
-    let body = format!(
-        "{{\"id\":\"{}\",\"cumulative_weight\":{},\"confirmed\":{}}}",
-        to_hex(id.as_bytes()),
+    let mut body = String::with_capacity(128);
+    body.push_str("{\"id\":");
+    push_quoted_hex(&mut body, id.as_bytes());
+    write!(
+        body,
+        ",\"cumulative_weight\":{},\"confirmed\":{}}}",
         tangle.cumulative_weight(id),
         confirmed,
-    );
+    )
+    .expect("write to String");
     (200, "OK", body)
 }
 
-/// One device's `(CrP, CrN, Cr)` triple as a JSON fragment. Floats use
-/// Rust's shortest round-trip formatting — stable across runs and
+/// Appends one device's `(CrP, CrN, Cr)` triple as JSON fields. Floats
+/// use Rust's shortest round-trip formatting — stable across runs and
 /// platforms, so equality on bytes is equality on values.
-fn breakdown_fields(b: &CreditBreakdown) -> String {
-    format!(
+fn push_breakdown_fields(out: &mut String, b: &CreditBreakdown) {
+    write!(
+        out,
         "\"positive\":{},\"negative\":{},\"combined\":{}",
         b.positive, b.negative, b.combined
     )
+    .expect("write to String");
 }
 
 fn render_credit_one(state: &ApiState<'_>, node: NodeId, at_ms: u64) -> Rendered {
@@ -236,12 +264,12 @@ fn render_credit_one(state: &ApiState<'_>, node: NodeId, at_ms: u64) -> Rendered
     let b = state
         .credits
         .credit_of(node, SimTime::from_millis(at_ms));
-    let body = format!(
-        "{{\"node\":\"{}\",\"at_ms\":{},{}}}",
-        to_hex(node.as_bytes()),
-        at_ms,
-        breakdown_fields(&b),
-    );
+    let mut body = String::with_capacity(160);
+    body.push_str("{\"node\":");
+    push_quoted_hex(&mut body, node.as_bytes());
+    write!(body, ",\"at_ms\":{at_ms},").expect("write to String");
+    push_breakdown_fields(&mut body, &b);
+    body.push('}');
     (200, "OK", body)
 }
 
@@ -249,30 +277,28 @@ fn render_credit_all(state: &ApiState<'_>, at_ms: u64) -> String {
     let at = SimTime::from_millis(at_ms);
     // `known_nodes` iterates a BTreeMap, so the report order is the byte
     // order of the ids — identical on every replica.
-    let rows: Vec<String> = state
-        .credits
-        .known_nodes()
-        .map(|node| {
-            let b = state.credits.credit_of(*node, at);
-            format!(
-                "{{\"node\":\"{}\",{}}}",
-                to_hex(node.as_bytes()),
-                breakdown_fields(&b)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"at_ms\":{},\"count\":{},\"nodes\":[{}]}}",
-        at_ms,
-        rows.len(),
-        rows.join(",")
-    )
+    let count = state.credits.known_nodes().count();
+    let mut out = String::with_capacity(48 + count * 160);
+    write!(out, "{{\"at_ms\":{at_ms},\"count\":{count},\"nodes\":[").expect("write to String");
+    for (i, node) in state.credits.known_nodes().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"node\":");
+        push_quoted_hex(&mut out, node.as_bytes());
+        out.push(',');
+        push_breakdown_fields(&mut out, &state.credits.credit_of(*node, at));
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use biot_credit::{CreditEvent, CreditParams};
+    use biot_crypto::sha256::to_hex;
     use biot_tangle::tx::TransactionBuilder;
 
     fn world() -> (Tangle, CreditLedger, HealthInfo) {

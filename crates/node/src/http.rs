@@ -301,9 +301,13 @@ pub fn write_response(
     body: &[u8],
     keep_alive: bool,
 ) {
-    out.extend_from_slice(format!("HTTP/1.1 {status} {reason}\r\n").as_bytes());
-    out.extend_from_slice(format!("Content-Type: {content_type}\r\n").as_bytes());
-    out.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
+    use std::io::Write as _;
+    write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
+        body.len()
+    )
+    .expect("write to Vec");
     out.extend_from_slice(if keep_alive {
         b"Connection: keep-alive\r\n"
     } else {

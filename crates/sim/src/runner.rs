@@ -78,10 +78,6 @@ pub struct NodeRunConfig {
     /// Mirror the gateway's ledger to a gossip replica over a jittered
     /// link during the run (default off). See [`crate::gossip`].
     pub gossip: Option<GossipSimConfig>,
-    /// Seal confirmed cones after each gateway refresh with this recency
-    /// lag (see [`GatewayConfig::seal_lag`]). Default `None` — never
-    /// seal, keeping the historical weight-walk behaviour.
-    pub seal_lag: Option<usize>,
     /// RNG seed (runs are deterministic given the seed).
     pub seed: u64,
 }
@@ -98,7 +94,6 @@ impl Default for NodeRunConfig {
             verify: VerifyConfig::default(),
             selector: SelectorConfig::default(),
             gossip: None,
-            seal_lag: None,
             seed: 42,
         }
     }
@@ -210,7 +205,6 @@ pub fn run_single_node(config: &NodeRunConfig) -> RunResult {
             // Fig 8 replay trace, and draining it identically with or
             // without a mirror keeps the two modes bit-for-bit comparable.
             record_credit_events: true,
-            seal_lag: config.seal_lag,
             ..GatewayConfig::default()
         },
     );
@@ -510,23 +504,6 @@ mod tests {
         assert!(
             a.avg_pow_secs() != c.avg_pow_secs() || a.accepted_count() != c.accepted_count()
         );
-    }
-
-    #[test]
-    fn sealing_does_not_perturb_the_run() {
-        // The sealed-cone index is a pure acceleration: weights, credit,
-        // and every RNG draw must be byte-identical with sealing on.
-        let plain = run_single_node(&quick_config());
-        let sealed = run_single_node(&NodeRunConfig {
-            seal_lag: Some(16),
-            ..quick_config()
-        });
-        assert_eq!(plain.accepted_count(), sealed.accepted_count());
-        assert_eq!(plain.avg_pow_secs(), sealed.avg_pow_secs());
-        assert_eq!(plain.samples.len(), sealed.samples.len());
-        for (a, b) in plain.samples.iter().zip(&sealed.samples) {
-            assert_eq!(a.cr, b.cr);
-        }
     }
 
     #[test]

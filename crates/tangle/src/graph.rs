@@ -1,9 +1,10 @@
 //! The tangle itself: a DAG of transactions with tip tracking, weights,
 //! confirmation, conflict (double-spend) detection, and snapshotting.
 
+use crate::idhash::{IdMap, IdSet};
 use crate::tx::{Payload, Transaction, TxId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -102,7 +103,7 @@ pub(crate) struct Entry {
 /// reader generation.
 #[derive(Clone, Debug)]
 pub(crate) struct SealedEpoch {
-    pub(crate) entries: HashMap<TxId, Entry>,
+    pub(crate) entries: IdMap<Entry>,
     pub(crate) anchor: TxId,
 }
 
@@ -185,7 +186,7 @@ pub struct SealStats {
 pub struct Tangle {
     /// Mutable unsealed entries (the frontier). Hot path: every attach
     /// inserts here and bumps weights here only.
-    pub(crate) frontier: HashMap<TxId, Entry>,
+    pub(crate) frontier: IdMap<Entry>,
     /// The sealed confirmed cone, shared copy-on-write with read views.
     pub(crate) sealed: Option<std::sync::Arc<SealedEpoch>>,
     /// Pass-through counter: how many attaches approved the current anchor
@@ -194,11 +195,12 @@ pub struct Tangle {
     pub(crate) seal_pass: u64,
     /// Current tips (attached, not yet approved), ordered for determinism.
     pub(crate) tips: BTreeSet<TxId>,
-    /// First-seen valid spend per token.
+    /// First-seen valid spend per token. Stays on SipHash: unlike ids,
+    /// token bytes are chosen by the sender.
     spends: HashMap<[u8; 32], TxId>,
     /// Ids removed by snapshotting; treated as known-confirmed ancestors.
     /// Behind an `Arc` so read views share it without copying.
-    pub(crate) pruned: std::sync::Arc<HashSet<TxId>>,
+    pub(crate) pruned: std::sync::Arc<IdSet>,
     pub(crate) genesis: Option<TxId>,
     /// Monotone count of everything ever attached (survives pruning).
     pub(crate) total_attached: u64,
@@ -214,6 +216,53 @@ pub struct Tangle {
     seals_total: u64,
     passes_total: u64,
     strays_total: u64,
+    /// Buffers the attach walk reuses from one attach to the next.
+    walk: WalkScratch,
+}
+
+/// The seen-set and queues [`Tangle::bump_ancestor_weights`] keeps
+/// between attaches, so a walk over a deep cone does not allocate and
+/// regrow them on every call. Pure scratch: a cloned tangle starts with
+/// empty buffers.
+#[derive(Default)]
+struct WalkScratch {
+    seen: IdSet,
+    /// Parent pairs of bumped entries, waiting to be visited.
+    queue: VecDeque<[TxId; 2]>,
+    /// Sealed parents the frontier walk stopped at.
+    boundary: Vec<TxId>,
+}
+
+impl WalkScratch {
+    /// Capacity the seen-set may keep however small the walks get.
+    const KEEP: usize = 1 << 12;
+
+    /// Empties the buffers for the next walk. A seen-set far larger than
+    /// the walk that last used it is dropped instead of cleared: clearing
+    /// a hash set costs O(capacity), so one stray walk across a large
+    /// sealed cone must not tax every later attach.
+    fn reset(&mut self) {
+        let cap = self.seen.capacity();
+        if cap > Self::KEEP && self.seen.len() * 8 < cap {
+            self.seen = IdSet::default();
+        } else {
+            self.seen.clear();
+        }
+        self.queue.clear();
+        self.boundary.clear();
+    }
+}
+
+impl Clone for WalkScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl fmt::Debug for WalkScratch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WalkScratch").finish_non_exhaustive()
+    }
 }
 
 impl Tangle {
@@ -339,7 +388,7 @@ impl Tangle {
             },
         );
         self.pending.insert(id);
-        self.bump_ancestor_weights(&parents);
+        self.bump_ancestor_weights(parents);
         self.tips.insert(id);
         self.total_attached += 1;
         self.recency.push(id);
@@ -360,38 +409,48 @@ impl Tangle {
     /// `seal_pass` increment absorbs the bump for every sealed entry and the
     /// walk stays O(frontier cone). Otherwise ("stray") an exact fallback
     /// walk bumps the reachable sealed entries individually.
-    fn bump_ancestor_weights(&mut self, parents: &[TxId]) {
-        let mut seen: HashSet<TxId> = HashSet::new();
-        let mut queue: VecDeque<TxId> = VecDeque::new();
-        let mut boundary: Vec<TxId> = Vec::new();
-        for &p in parents {
-            if p != TxId::GENESIS_PARENT && seen.insert(p) {
-                if self.frontier.contains_key(&p) {
-                    queue.push_back(p);
+    ///
+    /// Each ancestor is bumped when first seen and its parent pair queued,
+    /// so a visit costs one seen-set insert and one frontier lookup. The
+    /// seen-set and queues live in `self.walk` and are reused from one
+    /// attach to the next.
+    fn bump_ancestor_weights(&mut self, parents: [TxId; 2]) {
+        let mut walk = std::mem::take(&mut self.walk);
+        walk.reset();
+        let WalkScratch {
+            seen,
+            queue,
+            boundary,
+        } = &mut walk;
+        queue.push_back(parents);
+        while let Some(pair) = queue.pop_front() {
+            for p in pair {
+                if p == TxId::GENESIS_PARENT || !seen.insert(p) {
+                    continue;
+                }
+                if let Some(entry) = self.frontier.get_mut(&p) {
+                    entry.weight += 1;
+                    queue.push_back(entry.tx.parents());
                 } else if self.is_sealed_id(&p) {
                     boundary.push(p);
                 }
             }
         }
-        while let Some(cur) = queue.pop_front() {
-            let parents = {
-                let entry = self.frontier.get_mut(&cur).expect("queued ids are frontier");
-                entry.weight += 1;
-                entry.tx.parents()
-            };
-            for p in parents {
-                if p != TxId::GENESIS_PARENT && seen.insert(p) {
-                    if self.frontier.contains_key(&p) {
-                        queue.push_back(p);
-                    } else if self.is_sealed_id(&p) {
-                        boundary.push(p);
-                    }
-                }
-            }
+        if !boundary.is_empty() {
+            self.bump_sealed(seen, queue, boundary);
         }
-        if boundary.is_empty() {
-            return;
-        }
+        self.walk = walk;
+    }
+
+    /// The sealed half of [`Tangle::bump_ancestor_weights`]: `boundary`
+    /// holds the sealed parents the frontier walk stopped at, `seen`
+    /// everything it visited, and `queue` is empty scratch.
+    fn bump_sealed(
+        &mut self,
+        seen: &mut IdSet,
+        queue: &mut VecDeque<[TxId; 2]>,
+        boundary: &[TxId],
+    ) {
         let anchor = self
             .sealed
             .as_ref()
@@ -402,28 +461,26 @@ impl Tangle {
             // sealed entry. One counter bump covers the whole cone.
             self.seal_pass += 1;
             self.passes_total += 1;
-        } else {
-            // Stray: bump exactly the sealed ancestors reachable from the
-            // boundary. Parents of sealed entries are sealed or pruned, so
-            // this walk never re-enters the frontier.
-            self.strays_total += 1;
-            let ep = Arc::make_mut(self.sealed.as_mut().expect("checked above"));
-            let mut q: VecDeque<TxId> = boundary.into();
-            while let Some(cur) = q.pop_front() {
-                let parents = match ep.entries.get_mut(&cur) {
-                    Some(entry) => {
-                        entry.weight += 1;
-                        entry.tx.parents()
-                    }
-                    None => continue,
-                };
-                for p in parents {
-                    if p != TxId::GENESIS_PARENT
-                        && seen.insert(p)
-                        && ep.entries.contains_key(&p)
-                    {
-                        q.push_back(p);
-                    }
+            return;
+        }
+        // Stray: bump exactly the sealed ancestors reachable from the
+        // boundary. Parents of sealed entries are sealed or pruned, so
+        // this walk never re-enters the frontier.
+        self.strays_total += 1;
+        let ep = Arc::make_mut(self.sealed.as_mut().expect("checked above"));
+        let mut bump = |id: &TxId, queue: &mut VecDeque<[TxId; 2]>| {
+            if let Some(entry) = ep.entries.get_mut(id) {
+                entry.weight += 1;
+                queue.push_back(entry.tx.parents());
+            }
+        };
+        for id in boundary {
+            bump(id, queue);
+        }
+        while let Some(pair) = queue.pop_front() {
+            for p in pair {
+                if p != TxId::GENESIS_PARENT && seen.insert(p) {
+                    bump(&p, queue);
                 }
             }
         }
@@ -573,7 +630,7 @@ impl Tangle {
         if self.entry(id).is_none() {
             return 0;
         }
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         let mut queue = VecDeque::new();
         queue.push_back(*id);
         seen.insert(*id);
@@ -622,7 +679,7 @@ impl Tangle {
         if descendant == ancestor {
             return false;
         }
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         let mut queue = VecDeque::new();
         queue.push_back(*descendant);
         while let Some(cur) = queue.pop_front() {
@@ -642,7 +699,7 @@ impl Tangle {
 
     /// All ancestors of `id` (transactions it approves), breadth-first.
     pub fn ancestors(&self, id: &TxId) -> Vec<TxId> {
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         let mut out = Vec::new();
         let mut queue = VecDeque::new();
         queue.push_back(*id);
@@ -692,7 +749,7 @@ impl Tangle {
         if victims.is_empty() {
             return 0;
         }
-        let victim_set: HashSet<TxId> = victims.iter().copied().collect();
+        let victim_set: IdSet = victims.iter().copied().collect();
         let mut anchor_pruned = false;
         let mut parent_fixups: Vec<TxId> = Vec::with_capacity(victims.len() * 2);
         {
@@ -739,6 +796,11 @@ impl Tangle {
     /// Returns true if the id was removed by a snapshot.
     pub fn is_pruned(&self, id: &TxId) -> bool {
         self.pruned.contains(id)
+    }
+
+    /// Number of pruned ids.
+    pub fn pruned_count(&self) -> usize {
+        self.pruned.len()
     }
 
     /// All pruned ids, sorted (for snapshot capture and peer baseline
@@ -814,7 +876,7 @@ impl Tangle {
         // entries only, so the walk cannot miss it).
         let old_anchor = self.sealed.as_ref().map(|ep| ep.anchor);
         let mut saw_old_anchor = old_anchor.is_none();
-        let mut cone: HashSet<TxId> = HashSet::new();
+        let mut cone = IdSet::default();
         let mut queue: VecDeque<TxId> = VecDeque::new();
         cone.insert(anchor);
         queue.push_back(anchor);

@@ -14,6 +14,8 @@
 //! * [`tips`] — tip-selection strategies (uniform, weighted MCMC, and the
 //!   malicious fixed-pair selector).
 //! * [`conflict`] — lazy-tip detection policy.
+//! * [`idhash`] — [`IdMap`] / [`IdSet`]: hash tables keyed by
+//!   transaction id under a keyed folded-multiply hasher.
 //! * [`view`] — read-lock-free point-in-time views ([`view::TangleView`])
 //!   for tip selection concurrent with attachment.
 //!
@@ -50,12 +52,14 @@ pub mod proof;
 pub mod snapshot;
 pub mod stats;
 pub mod graph;
+pub mod idhash;
 pub mod tips;
 pub mod view;
 pub mod viz;
 pub mod tx;
 
 pub use graph::{SealError, SealStats, Tangle, TangleError, TxStatus};
+pub use idhash::{IdMap, IdSet};
 pub use snapshot::TangleSnapshot;
 pub use tx::{NodeId, Payload, Transaction, TransactionBuilder, TxId};
 pub use view::{SharedView, TangleRead, TangleView};

@@ -12,8 +12,18 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 32-byte transaction identifier (SHA-256 of the canonical encoding).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TxId(pub [u8; 32]);
+
+/// Hashes the 32 id bytes in one `write`, without the length prefix a
+/// derived impl would add: ids are fixed-size, and one call lets
+/// [`crate::idhash::IdHasher`] fold the id's four words directly.
+impl std::hash::Hash for TxId {
+    #[inline]
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write(&self.0);
+    }
+}
 
 impl TxId {
     /// The all-zero id, reserved for the genesis transaction's parents.

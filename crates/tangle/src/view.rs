@@ -18,8 +18,9 @@
 //! they need a consistent snapshot.
 
 use crate::graph::{Entry, SealedEpoch, Tangle, TxStatus};
+use crate::idhash::{IdMap, IdSet};
 use crate::tx::TxId;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 /// The read surface tip selection needs, implemented by both the live
@@ -95,11 +96,11 @@ impl TangleRead for Tangle {
 /// live tangle's answer at capture time.
 #[derive(Clone, Debug)]
 pub struct TangleView {
-    frontier: HashMap<TxId, Entry>,
+    frontier: IdMap<Entry>,
     sealed: Option<Arc<SealedEpoch>>,
     seal_pass: u64,
     tips: BTreeSet<TxId>,
-    pruned: Arc<HashSet<TxId>>,
+    pruned: Arc<IdSet>,
     genesis: Option<TxId>,
     /// Newest suffix of the recency index (attach order, oldest first).
     recency_tail: Vec<TxId>,
